@@ -16,16 +16,14 @@ import sys
 import numpy as np
 
 from . import rf
-from .checkpoint import load_checkpoint
-from .config import ConfigError, TrainConfig, config_digest, load_config, \
-    save_config
+from .config import ConfigError, TrainConfig, load_config, save_config
 from .data import SynthConfig, load_label_map, save_pgm, write_dataset
 from .edge_loss import EdgeLossParams, ece_loss, edge_labels
 from .gradcheck import DEFAULT_STEPS, check_gradients
 from .lkpp import block_footprint, equivalent_chain
 from .segnet import ElkppNet
 from .tensor import Tensor, set_precision, set_verification_mode
-from .train import evaluate, train
+from .train import evaluate, load_weights, train
 
 
 def _add_common(p):
@@ -33,12 +31,6 @@ def _add_common(p):
                    help="override the configured seed")
     p.add_argument("--precision", choices=("f32", "f64"), default=None,
                    help="override the configured float width")
-    p.add_argument("--deterministic", dest="deterministic",
-                   action="store_true", default=None,
-                   help="force the deterministic execution path")
-    p.add_argument("--no-deterministic", dest="deterministic",
-                   action="store_false",
-                   help="allow nondeterministic execution")
 
 
 def _load_cfg(args):
@@ -51,8 +43,6 @@ def _load_cfg(args):
         overrides["seed"] = args.seed
     if getattr(args, "precision", None) is not None:
         overrides["precision"] = args.precision
-    if getattr(args, "deterministic", None) is not None:
-        overrides["deterministic"] = args.deterministic
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
@@ -84,16 +74,7 @@ def cmd_train(args):
 def _load_model(cfg, ckpt_path):
     set_precision(cfg.precision)
     net = ElkppNet(cfg.model, seed=cfg.seed)
-    ckpt = load_checkpoint(ckpt_path)
-    if ckpt.config_digest != config_digest(cfg):
-        raise ValueError("checkpoint %s was written under a different "
-                         "configuration" % ckpt_path)
-    net.store.load_state_dict(ckpt.params)
-    for k, arr in ckpt.buffers.items():
-        if k not in net.buffers:
-            raise ValueError("checkpoint buffer %r has no destination" % k)
-        net.buffers[k][...] = arr
-    return net, ckpt.iteration
+    return net, load_weights(net, cfg, ckpt_path).iteration
 
 
 def cmd_eval(args):

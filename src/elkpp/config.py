@@ -1,7 +1,9 @@
 """Run configuration: one strict JSON document per training run.
 
-Unknown keys anywhere in the document are errors, so typos fail loudly
-instead of silently running defaults. The fully resolved configuration
+The frozen dataclasses are the schema: every field with a default is a
+key, and its value must have the type of that default. Unknown keys
+anywhere in the document are errors, so typos fail loudly instead of
+silently running defaults. The fully resolved configuration
 has a canonical serialization whose SHA-256 digest is embedded in
 checkpoints to guard resumes against mismatched setups.
 """
@@ -25,7 +27,6 @@ class TrainConfig:
     data_root: str = ""
     num_classes: int = 4
     seed: int = 0
-    deterministic: bool = True
     precision: str = "f32"
     batch_size: int = 4
     total_iterations: int = 2000
@@ -67,102 +68,89 @@ def _check_unknown(d, allowed, where):
                           % (where, ", ".join(unknown)))
 
 
-def _get(d, key, default, kinds, where):
-    v = d.get(key, default)
-    if kinds is bool:
+def _value(v, default, where):
+    """``v`` checked against the type of ``default``."""
+    if isinstance(default, bool):
         if not isinstance(v, bool):
-            raise ConfigError("%s.%s must be a boolean" % (where, key))
+            raise ConfigError("%s must be a boolean" % where)
         return v
-    if kinds is int:
+    if isinstance(default, int):
         if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError("%s.%s must be an integer" % (where, key))
+            raise ConfigError("%s must be an integer" % where)
         return v
-    if kinds is float:
+    if isinstance(default, float):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError("%s.%s must be a number" % (where, key))
+            raise ConfigError("%s must be a number" % where)
         return float(v)
-    if kinds is str:
+    if isinstance(default, str):
         if not isinstance(v, str):
-            raise ConfigError("%s.%s must be a string" % (where, key))
+            raise ConfigError("%s must be a string" % where)
         return v
-    raise AssertionError
+    if isinstance(default, tuple):
+        if (not isinstance(v, list) or len(v) != len(default)
+                or any(isinstance(x, bool) or not isinstance(x, int)
+                       for x in v)):
+            raise ConfigError("%s must be a list of %d integers"
+                              % (where, len(default)))
+        return tuple(v)
+    raise AssertionError(where)
 
 
-def _int_tuple(d, key, default, where, length):
-    v = d.get(key, list(default))
-    if (not isinstance(v, list) or len(v) != length
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in v)):
-        raise ConfigError("%s.%s must be a list of %d integers"
-                          % (where, key, length))
-    return tuple(v)
+def _keyed_fields(cls):
+    """The fields of ``cls`` that are JSON keys, with their defaults.
+    A field without a default is supplied by the enclosing object."""
+    for f in dataclasses.fields(cls):
+        if f.default_factory is not dataclasses.MISSING:
+            yield f.name, f.default_factory()
+        elif f.default is not dataclasses.MISSING:
+            yield f.name, f.default
 
 
-def _parse_loss(d):
-    where = "loss"
-    defaults = EdgeLossParams()
-    _check_unknown(d, {f.name for f in dataclasses.fields(EdgeLossParams)},
-                   where)
+def _fields(cls, d, where, custom=()):
+    """Constructor arguments of dataclass ``cls`` read from the JSON
+    object ``d``: each value is checked against the type of the field's
+    default, nested dataclasses are read recursively and absent keys keep
+    their defaults. Keys named in ``custom`` are left to the caller."""
+    keyed = dict(_keyed_fields(cls))
+    _check_unknown(d, keyed, where)
+    kw = {}
+    for name, default in keyed.items():
+        if name in custom:
+            continue
+        if dataclasses.is_dataclass(default):
+            sub = name if where == "config" else "%s.%s" % (where, name)
+            kw[name] = _build(type(default),
+                              _fields(type(default), d.get(name, {}), sub),
+                              sub)
+        elif name in d:
+            kw[name] = _value(d[name], default, "%s.%s" % (where, name))
+    return kw
+
+
+def _build(cls, kw, where):
     try:
-        return EdgeLossParams(
-            kernel_scale=_get(d, "kernel_scale", defaults.kernel_scale, int, where),
-            alpha=_get(d, "alpha", defaults.alpha, float, where),
-            gamma=_get(d, "gamma", defaults.gamma, float, where),
-            lambda_edge=_get(d, "lambda_edge", defaults.lambda_edge, float, where),
-            lambda_reg=_get(d, "lambda_reg", defaults.lambda_reg, float, where),
-            eps=_get(d, "eps", defaults.eps, float, where),
-            normalize=_get(d, "normalize", defaults.normalize, bool, where),
-            all_ones_blocks=_get(d, "all_ones_blocks", defaults.all_ones_blocks,
-                                 bool, where),
-            reg_kind=_get(d, "reg_kind", defaults.reg_kind, str, where),
-        )
-    except ValueError as e:
-        raise ConfigError("loss: %s" % e) from e
-
-
-def _parse_backbone(d):
-    where = "model.backbone"
-    _check_unknown(d, {"stem_channels", "stage_channels", "stage_blocks"},
-                   where)
-    defaults = BackboneConfig()
-    try:
-        return BackboneConfig(
-            stem_channels=_get(d, "stem_channels", defaults.stem_channels,
-                               int, where),
-            stage_channels=_int_tuple(d, "stage_channels",
-                                      defaults.stage_channels, where, 4),
-            stage_blocks=_int_tuple(d, "stage_blocks", defaults.stage_blocks,
-                                    where, 4),
-        )
+        return cls(**kw)
     except ValueError as e:
         raise ConfigError("%s: %s" % (where, e)) from e
 
 
-def _parse_decoder(d):
-    where = "model.decoder"
-    _check_unknown(d, {"stage_channels"}, where)
-    defaults = DecoderConfig()
-    try:
-        return DecoderConfig(
-            stage_channels=_int_tuple(d, "stage_channels",
-                                      defaults.stage_channels, where, 3))
-    except ValueError as e:
-        raise ConfigError("%s: %s" % (where, e)) from e
+_LKPP_WIDTHS = ("branch_channels", "skip_channels", "global_channels")
 
 
-def _parse_lkpp(d, top_channels):
+def _read_lkpp(d, top_channels):
+    """``model.lkpp``: kernel pairs, merge mode and branch widths, where a
+    width of 0 means max(top_channels // 4, 8)."""
     where = "model.lkpp"
-    _check_unknown(d, {"kernel_pairs", "mode", "branch_channels",
-                       "skip_channels", "global_channels"}, where)
+    _check_unknown(d, ("kernel_pairs", "mode") + _LKPP_WIDTHS, where)
     pairs = d.get("kernel_pairs", [[3, 3], [3, 5], [3, 7]])
     if (not isinstance(pairs, list) or len(pairs) != 3
             or any(not isinstance(p, list) or len(p) != 2 for p in pairs)):
         raise ConfigError("%s.kernel_pairs must be three [k1, k2] pairs"
                           % where)
-    mode = _get(d, "mode", "cascade", str, where)
+    mode = _value(d.get("mode", "cascade"), "cascade", where + ".mode")
     auto = max(top_channels // 4, 8)
-    branch = _get(d, "branch_channels", 0, int, where) or auto
-    skip = _get(d, "skip_channels", 0, int, where) or auto
-    glob = _get(d, "global_channels", 0, int, where) or auto
+    branch, skip, glob = (_value(d.get(k, 0), 0, "%s.%s" % (where, k))
+                          or auto for k in _LKPP_WIDTHS)
     try:
         blocks = tuple(HadcBlockSpec.from_kernels(p[0], p[1], branch, mode)
                        for p in pairs)
@@ -171,61 +159,14 @@ def _parse_lkpp(d, top_channels):
         raise ConfigError("%s: %s" % (where, e)) from e
 
 
-def _parse_model(d, num_classes):
-    where = "model"
-    _check_unknown(d, {"input_channels", "head_channels", "backbone",
-                       "decoder", "lkpp"}, where)
-    backbone = _parse_backbone(d.get("backbone", {}))
-    decoder = _parse_decoder(d.get("decoder", {}))
-    lkpp = _parse_lkpp(d.get("lkpp", {}), backbone.stage_channels[-1])
-    try:
-        return ModelConfig(
-            num_classes=num_classes,
-            input_channels=_get(d, "input_channels", 3, int, where),
-            backbone=backbone,
-            decoder=decoder,
-            lkpp=lkpp,
-            head_channels=_get(d, "head_channels", 32, int, where),
-        )
-    except ValueError as e:
-        raise ConfigError("model: %s" % e) from e
-
-
-_TOP_KEYS = {"data_root", "num_classes", "seed", "deterministic", "precision",
-             "batch_size", "total_iterations", "base_lr", "poly_power",
-             "adam_beta1", "adam_beta2", "adam_eps", "log_interval",
-             "eval_interval", "checkpoint_interval", "loss", "model"}
-
-
 def from_dict(d):
-    _check_unknown(d, _TOP_KEYS, "config")
-    defaults = TrainConfig(model=ModelConfig(num_classes=4))
-    num_classes = _get(d, "num_classes", defaults.num_classes, int, "config")
-    kw = dict(
-        data_root=_get(d, "data_root", defaults.data_root, str, "config"),
-        num_classes=num_classes,
-        seed=_get(d, "seed", defaults.seed, int, "config"),
-        deterministic=_get(d, "deterministic", defaults.deterministic, bool,
-                           "config"),
-        precision=_get(d, "precision", defaults.precision, str, "config"),
-        batch_size=_get(d, "batch_size", defaults.batch_size, int, "config"),
-        total_iterations=_get(d, "total_iterations",
-                              defaults.total_iterations, int, "config"),
-        base_lr=_get(d, "base_lr", defaults.base_lr, float, "config"),
-        poly_power=_get(d, "poly_power", defaults.poly_power, float, "config"),
-        adam_beta1=_get(d, "adam_beta1", defaults.adam_beta1, float, "config"),
-        adam_beta2=_get(d, "adam_beta2", defaults.adam_beta2, float, "config"),
-        adam_eps=_get(d, "adam_eps", defaults.adam_eps, float, "config"),
-        log_interval=_get(d, "log_interval", defaults.log_interval, int,
-                          "config"),
-        eval_interval=_get(d, "eval_interval", defaults.eval_interval, int,
-                           "config"),
-        checkpoint_interval=_get(d, "checkpoint_interval",
-                                 defaults.checkpoint_interval, int, "config"),
-        loss=_parse_loss(d.get("loss", {})),
-        model=_parse_model(d.get("model", {}), num_classes),
-    )
-    return TrainConfig(**kw)
+    kw = _fields(TrainConfig, d, "config", custom=("model",))
+    model = d.get("model", {})
+    mkw = _fields(ModelConfig, model, "model", custom=("lkpp",))
+    mkw["lkpp"] = _read_lkpp(model.get("lkpp", {}),
+                             mkw["backbone"].stage_channels[-1])
+    mkw["num_classes"] = kw.get("num_classes", TrainConfig.num_classes)
+    return TrainConfig(model=_build(ModelConfig, mkw, "model"), **kw)
 
 
 def load_config(path):
@@ -239,43 +180,21 @@ def load_config(path):
 
 def to_dict(cfg):
     """Fully resolved, JSON-safe view of a configuration."""
-    m = cfg.model
-    return {
-        "data_root": cfg.data_root,
-        "num_classes": cfg.num_classes,
-        "seed": cfg.seed,
-        "deterministic": cfg.deterministic,
-        "precision": cfg.precision,
-        "batch_size": cfg.batch_size,
-        "total_iterations": cfg.total_iterations,
-        "base_lr": cfg.base_lr,
-        "poly_power": cfg.poly_power,
-        "adam_beta1": cfg.adam_beta1,
-        "adam_beta2": cfg.adam_beta2,
-        "adam_eps": cfg.adam_eps,
-        "log_interval": cfg.log_interval,
-        "eval_interval": cfg.eval_interval,
-        "checkpoint_interval": cfg.checkpoint_interval,
-        "loss": dataclasses.asdict(cfg.loss),
-        "model": {
-            "input_channels": m.input_channels,
-            "head_channels": m.head_channels,
-            "backbone": {
-                "stem_channels": m.backbone.stem_channels,
-                "stage_channels": list(m.backbone.stage_channels),
-                "stage_blocks": list(m.backbone.stage_blocks),
-            },
-            "decoder": {"stage_channels": list(m.decoder.stage_channels)},
-            "lkpp": {
-                "kernel_pairs": [[b.pairs[0].kernel_a, b.pairs[0].kernel_b]
-                                 for b in m.lkpp.blocks],
-                "mode": m.lkpp.blocks[0].mode,
-                "branch_channels": m.lkpp.blocks[0].channels,
-                "skip_channels": m.lkpp.skip_channels,
-                "global_channels": m.lkpp.global_channels,
-            },
-        },
-    }
+    if isinstance(cfg, LkppConfig):
+        return {
+            "kernel_pairs": [[b.pairs[0].kernel_a, b.pairs[0].kernel_b]
+                             for b in cfg.blocks],
+            "mode": cfg.blocks[0].mode,
+            "branch_channels": cfg.blocks[0].channels,
+            "skip_channels": cfg.skip_channels,
+            "global_channels": cfg.global_channels,
+        }
+    if dataclasses.is_dataclass(cfg):
+        return {name: to_dict(getattr(cfg, name))
+                for name, _ in _keyed_fields(type(cfg))}
+    if isinstance(cfg, tuple):
+        return list(cfg)
+    return cfg
 
 
 def save_config(path, cfg):

@@ -33,10 +33,6 @@ class ChainLayer:
             if not isinstance(v, int) or v < 1:
                 raise ValueError("%s must be a positive integer" % f)
 
-    @classmethod
-    def from_conv(cls, spec):
-        return cls(spec.kernel_h, spec.kernel_w, spec.rate_h, spec.rate_w)
-
 
 def layer_chain(entries):
     """Normalize a chain description: ChainLayer items pass through,

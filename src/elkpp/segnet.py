@@ -46,7 +46,6 @@ class ModelConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     lkpp: LkppConfig = None
-    lkpp_mode: str = "cascade"
     head_channels: int = 32
 
     def __post_init__(self):
@@ -54,8 +53,7 @@ class ModelConfig:
             raise ValueError("need at least two classes")
         if self.lkpp is None:
             top = self.backbone.stage_channels[-1]
-            object.__setattr__(self, "lkpp",
-                               LkppConfig.default_for(top, self.lkpp_mode))
+            object.__setattr__(self, "lkpp", LkppConfig.default_for(top))
 
 
 class ResidualBlock:
@@ -162,11 +160,6 @@ class ElkppNet:
         self.classifier = Conv2d(
             self.store, rng, "head.classifier",
             ConvSpec(1, 1, cfg.head_channels, cfg.num_classes, has_bias=True))
-
-    def encoder_forward(self, x, training=True):
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        return self.encoder(x, training)
 
     def forward(self, x, training=True):
         """Images NCHW in, per-class logits at input extent out."""

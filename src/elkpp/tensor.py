@@ -52,17 +52,6 @@ def verification_mode():
 
 
 @contextlib.contextmanager
-def precision_scope(name):
-    old_p, old_t = _state["precision"], _state["nan_trap"]
-    set_precision(name)
-    _state["nan_trap"] = old_t and name == "f64"
-    try:
-        yield
-    finally:
-        _state["precision"], _state["nan_trap"] = old_p, old_t
-
-
-@contextlib.contextmanager
 def no_grad():
     """Disable graph recording; outputs inside are constants."""
     old = _state["grad"]
@@ -71,10 +60,6 @@ def no_grad():
         yield
     finally:
         _state["grad"] = old
-
-
-def grad_enabled():
-    return _state["grad"]
 
 
 def _trap(arr, op):
@@ -317,20 +302,6 @@ def _binary(kind, a, b):
 
 def maximum(a, b):
     return _binary("max", a, b)
-
-
-_UNARY = {"relu", "exp", "log", "sqrt"}
-
-
-def elementwise(op_kind, a, b=None):
-    """Dispatch over {add, sub, mul, max, relu, exp, log, sqrt}."""
-    if op_kind in _UNARY:
-        if b is not None:
-            raise ValueError("%s takes a single operand" % op_kind)
-        return getattr(a, op_kind)()
-    if b is None:
-        raise ValueError("%s needs a second operand" % op_kind)
-    return _binary(op_kind, a, b)
 
 
 def _norm_axes(axes, ndim):

@@ -106,17 +106,24 @@ def evaluate(net, samples, num_classes, batch_size=8):
     return out
 
 
-def _restore(net, optimizer, cfg, resume_path):
-    ckpt = load_checkpoint(resume_path)
+def load_weights(net, cfg, path):
+    """Load the parameters and buffers of the checkpoint at ``path``,
+    which must have been written under ``cfg``, into ``net``; returns
+    the checkpoint."""
+    ckpt = load_checkpoint(path)
     if ckpt.config_digest != config_digest(cfg):
         raise ValueError("checkpoint %s was written under a different "
-                         "configuration" % resume_path)
-    state = {k: arr for k, arr in ckpt.params.items()}
-    net.store.load_state_dict(state)
+                         "configuration" % path)
+    net.store.load_state_dict(ckpt.params)
     for k, arr in ckpt.buffers.items():
         if k not in net.buffers:
             raise ValueError("checkpoint buffer %r has no destination" % k)
         net.buffers[k][...] = arr
+    return ckpt
+
+
+def _restore(net, optimizer, cfg, resume_path):
+    ckpt = load_weights(net, cfg, resume_path)
     optimizer.load_state_tensors(ckpt.optim)
     return ckpt.iteration
 
@@ -132,7 +139,8 @@ def train(cfg, out_dir, resume=None, log=print):
 
     Writes ``train_log.csv``, periodic ``checkpoints/ckpt_NNNNNN.ckpt``,
     the best-by-miou checkpoint with a JSON sidecar, and ``summary.json``
-    under ``out_dir``.
+    under ``out_dir``. A resume keeps the best score already recorded in
+    ``out_dir/best.json``.
     """
     set_precision(cfg.precision)
     os.makedirs(out_dir, exist_ok=True)
@@ -147,12 +155,16 @@ def train(cfg, out_dir, resume=None, log=print):
     net = ElkppNet(cfg.model, seed=cfg.seed)
     optimizer = Adam(net.store, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     start_iter = 0
+    best = {"miou": float("-inf"), "iteration": 0}
+    best_path = os.path.join(out_dir, "best.json")
     if resume is not None:
         start_iter = _restore(net, optimizer, cfg, resume)
         log("resumed from %s at iteration %d" % (resume, start_iter))
+        if os.path.isfile(best_path):
+            with open(best_path) as f:
+                best = json.load(f)
 
     n = len(train_samples)
-    best = {"miou": float("-inf"), "iteration": 0}
     t0 = time.monotonic()
 
     log_path = os.path.join(out_dir, "train_log.csv")
@@ -190,7 +202,7 @@ def train(cfg, out_dir, resume=None, log=print):
                     best = dict(scores, iteration=done)
                     _save(os.path.join(out_dir, "best.ckpt"), done, cfg, net,
                           optimizer)
-                    with open(os.path.join(out_dir, "best.json"), "w") as f:
+                    with open(best_path, "w") as f:
                         json.dump(best, f, indent=2, sort_keys=True)
                         f.write("\n")
             if done % cfg.checkpoint_interval == 0 \

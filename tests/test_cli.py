@@ -4,15 +4,17 @@ Most cases drive ``main(argv)`` in-process so output can be captured
 cheaply; a few run the real interpreter entry point to pin down exit
 codes as observed from a shell.
 """
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from elkpp.cli import main
+from elkpp.cli import build_parser, main
 from elkpp.data import load_pgm, save_pgm
 
 
@@ -251,6 +253,28 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     bad.write_text(json.dumps({"learning_rate": 0.1}))
     assert main(["train", "--config", str(bad)]) == 1
     assert "bad configuration" in capsys.readouterr().err
+
+
+def test_readme_synopsis_flags_exist():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "README.md")
+    with open(readme) as f:
+        text = f.read()
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", text,
+                      re.S).group(1)
+    documented = {}
+    for line in block.splitlines():
+        line = line.split("#")[0]
+        if line.startswith("elkpp "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(
+            re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(documented) == set(subparsers.choices)
+    for command, flags in documented.items():
+        known = subparsers.choices[command]._option_string_actions
+        assert flags <= set(known), (command, flags - set(known))
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -1,11 +1,15 @@
 """Strict JSON configuration: round trips, unknown-key rejection, type
 checks, and digest stability."""
 import json
+import os
+import re
 
 import pytest
 
 from elkpp.config import ConfigError, TrainConfig, config_digest, from_dict, \
     load_config, save_config, to_dict
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def test_defaults_construct():
@@ -53,8 +57,8 @@ def test_type_errors():
         from_dict({"seed": "zero"})
     with pytest.raises(ConfigError, match="base_lr must be a number"):
         from_dict({"base_lr": "fast"})
-    with pytest.raises(ConfigError, match="deterministic must be a boolean"):
-        from_dict({"deterministic": 1})
+    with pytest.raises(ConfigError, match="normalize must be a boolean"):
+        from_dict({"loss": {"normalize": 1}})
     with pytest.raises(ConfigError, match="must be a boolean"):
         from_dict({"loss": {"normalize": "yes"}})
     with pytest.raises(ConfigError, match="list of 4 integers"):
@@ -125,3 +129,21 @@ def test_to_dict_is_json_safe_and_resolved():
     assert doc["model"]["lkpp"]["kernel_pairs"] == [[3, 3], [3, 5], [3, 7]]
     assert doc["model"]["lkpp"]["mode"] == "cascade"
     assert doc["loss"]["lambda_edge"] == 0.5
+
+
+def test_readme_config_block_states_the_defaults():
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
+    block = re.search(r"```jsonc\n(.*?)```", text, re.S).group(1)
+    doc = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert to_dict(from_dict(doc)) == to_dict(
+        TrainConfig(data_root=doc["data_root"]))
+
+
+def test_reference_run_configs_are_the_documented_commands():
+    # reference_run/README.md: every field other than data_root (and the
+    # ce run's lambda_edge) is at its default
+    for run, extra in (("ece", {}), ("ce", {"loss": {"lambda_edge": 0.0}})):
+        cfg = load_config(os.path.join(ROOT, "reference_run", run,
+                                       "config.json"))
+        assert cfg == from_dict(dict(extra, data_root=cfg.data_root)), run

@@ -5,7 +5,7 @@ import pytest
 
 from elkpp.lkpp import LkppConfig, default_block_specs
 from elkpp.segnet import BackboneConfig, DecoderConfig, ElkppNet, ModelConfig
-from elkpp.tensor import backward
+from elkpp.tensor import Tensor, backward
 
 
 TINY = ModelConfig(
@@ -34,7 +34,7 @@ def test_config_validation():
 def test_encoder_pyramid_extents():
     net = ElkppNet(TINY, seed=0)
     x = rng(1).standard_normal((2, 3, 64, 64))
-    feats = net.encoder_forward(x, training=True)
+    feats = net.encoder(Tensor(x), training=True)
     shapes = [f.data.shape for f in feats]
     assert shapes[0][2:] == (16, 16)   # 1/4
     assert shapes[1][2:] == (8, 8)     # 1/8
@@ -46,7 +46,7 @@ def test_encoder_pyramid_extents():
 def test_encoder_handles_odd_extents():
     net = ElkppNet(TINY, seed=0)
     x = rng(2).standard_normal((1, 3, 224, 448))
-    feats = net.encoder_forward(x, training=True)
+    feats = net.encoder(Tensor(x), training=True)
     # ceil-divide at each stride-2 step
     assert feats[0].data.shape[2:] == (56, 112)
     assert feats[3].data.shape[2:] == (7, 14)

@@ -4,8 +4,8 @@ import pytest
 
 from elkpp.gradcheck import finite_difference, max_relative_error
 from elkpp.tensor import Tensor, ParameterStore, backward, concat, \
-    elementwise, maximum, no_grad, precision, reduce, set_precision, \
-    set_verification_mode, precision_scope
+    maximum, no_grad, precision, reduce, set_precision, \
+    set_verification_mode
 
 
 def rng(seed=0):
@@ -65,20 +65,6 @@ def test_scalar_broadcast_both_sides():
     backward(out)
     assert np.allclose(a.grad, 3.0)
     assert np.allclose(s.grad, 4.0)  # gradient collapses onto the scalar
-
-
-def test_elementwise_dispatch():
-    a = Tensor([1.0, -2.0])
-    b = Tensor([0.5, 0.5])
-    assert np.allclose(elementwise("add", a, b).data, [1.5, -1.5])
-    assert np.allclose(elementwise("max", a, b).data, [1.0, 0.5])
-    assert np.allclose(elementwise("relu", a).data, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        elementwise("relu", a, b)
-    with pytest.raises(ValueError):
-        elementwise("add", a)
-    with pytest.raises(ValueError):
-        elementwise("nope", a, b)
 
 
 def test_binary_gradients():
@@ -250,8 +236,6 @@ def test_precision_switch_and_nan_trap():
         x * x  # overflow to inf
     set_verification_mode(False)
     assert precision() == "f32"
-    with precision_scope("f64"):
-        assert Tensor([1.0]).dtype == np.float64
     assert Tensor([1.0]).dtype == np.float32
 
 

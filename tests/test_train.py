@@ -229,6 +229,29 @@ def test_train_resume_matches_uninterrupted_run(dataset_root, tmp_path):
     assert got == want
 
 
+def test_train_resume_keeps_best_from_before_resume(dataset_root, tmp_path):
+    cfg = _tiny_cfg(dataset_root)
+    out = str(tmp_path / "run")
+    train(cfg, out, log=lambda *a: None)
+    # a best score no later evaluation can beat
+    unbeatable = {"miou": 2.0, "boundary_agreement": 1.0, "iteration": 2}
+    with open(os.path.join(out, "best.json"), "w") as f:
+        json.dump(unbeatable, f)
+    with open(os.path.join(out, "best.ckpt"), "rb") as f:
+        best_ckpt = f.read()
+
+    mid = os.path.join(out, "checkpoints", "ckpt_000002.ckpt")
+    summary = train(cfg, out, resume=mid, log=lambda *a: None)
+
+    assert summary["best"] == unbeatable
+    with open(os.path.join(out, "best.json")) as f:
+        assert json.load(f) == unbeatable
+    with open(os.path.join(out, "summary.json")) as f:
+        assert json.load(f)["best"] == unbeatable
+    with open(os.path.join(out, "best.ckpt"), "rb") as f:
+        assert f.read() == best_ckpt
+
+
 def test_train_resume_rejects_mismatched_config(dataset_root, tmp_path):
     cfg = _tiny_cfg(dataset_root)
     out = str(tmp_path / "seed_run")
