@@ -14,7 +14,7 @@ import hashlib
 import json
 
 from .edge_loss import EdgeLossParams
-from .lkpp import HadcBlockSpec, LkppConfig
+from .lkpp import HadcBlockSpec, LkppConfig, auto_width
 from .segnet import BackboneConfig, DecoderConfig, ModelConfig
 
 
@@ -139,7 +139,7 @@ _LKPP_WIDTHS = ("branch_channels", "skip_channels", "global_channels")
 
 def _read_lkpp(d, top_channels):
     """``model.lkpp``: kernel pairs, merge mode and branch widths, where a
-    width of 0 means max(top_channels // 4, 8)."""
+    width of 0 means ``lkpp.auto_width(top_channels)``."""
     where = "model.lkpp"
     _check_unknown(d, ("kernel_pairs", "mode") + _LKPP_WIDTHS, where)
     pairs = d.get("kernel_pairs", [[3, 3], [3, 5], [3, 7]])
@@ -148,7 +148,7 @@ def _read_lkpp(d, top_channels):
         raise ConfigError("%s.kernel_pairs must be three [k1, k2] pairs"
                           % where)
     mode = _value(d.get("mode", "cascade"), "cascade", where + ".mode")
-    auto = max(top_channels // 4, 8)
+    auto = auto_width(top_channels)
     branch, skip, glob = (_value(d.get(k, 0), 0, "%s.%s" % (where, k))
                           or auto for k in _LKPP_WIDTHS)
     try:

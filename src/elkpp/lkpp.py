@@ -103,6 +103,11 @@ def block_footprint(block_spec):
     return rf.points_to_footprint(pts)
 
 
+def auto_width(in_channels):
+    """Branch width of a pyramid over ``in_channels`` when none is given."""
+    return max(in_channels // 4, 8)
+
+
 def default_block_specs(channels, mode="cascade"):
     return tuple(HadcBlockSpec.from_kernels(k1, k2, channels, mode)
                  for (k1, k2) in ((3, 3), (3, 5), (3, 7)))
@@ -129,7 +134,7 @@ class LkppConfig:
 
     @classmethod
     def default_for(cls, in_channels, mode="cascade"):
-        width = max(in_channels // 4, 8)
+        width = auto_width(in_channels)
         return cls(default_block_specs(width, mode), width, width)
 
 

@@ -79,6 +79,12 @@ def dilated_conv2d(x, spec, weights, bias=None):
     Output position (i, j) of channel o is
     sum_c sum_{u,v} w[o,c,u,v] * x[c, i*s + u*rate_h - pad, j*s + v*rate_w - pad]
     with zeros outside the padded input.
+
+    Lowered to one matmul per tap over the flattened padded input: output
+    m = i*Wp + j of tap (u, v) reads flat element u*rate_h*Wp + v*rate_w
+    + s*m, so each tap's operand is a strided slice and no column matrix
+    is built. The columns j >= OW of each output row are computed and
+    cropped; spare bottom rows keep every tap's slice in range.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x)
@@ -108,15 +114,20 @@ def dilated_conv2d(x, spec, weights, bias=None):
                              "input %dx%d, extent %dx%d" % (h, w, eh, ew))
         pt = pb = pl = pr = 0
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    wp = w + pl + pr
+    length = oh * wp
+    span = s * (length - 1) + 1
+    offsets = [(u, v, u * rh * wp + v * rw)
+               for u in range(kh) for v in range(kw)]
+    hp = max(h + pt + pb, -(-(offsets[-1][2] + span) // wp))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, hp - h - pt), (pl, pr)))
+    xf = xp.reshape(n, c, hp * wp)
     wd = weights.data
-    acc = np.zeros((n, oh, ow, spec.out_channels), dtype=x.data.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            sl = xp[:, :, u * rh: u * rh + (oh - 1) * s + 1: s,
-                    v * rw: v * rw + (ow - 1) * s + 1: s]
-            acc += np.tensordot(sl, wd[:, :, u, v], axes=([1], [1]))
-    out_data = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    acc = np.zeros((n, spec.out_channels, length), dtype=x.data.dtype)
+    for u, v, off in offsets:
+        acc += wd[:, :, u, v] @ xf[:, :, off: off + span: s]
+    out_data = np.ascontiguousarray(
+        acc.reshape(n, -1, oh, wp)[:, :, :, :ow])
     if bias is not None:
         out_data += bias.data.reshape(1, -1, 1, 1)
 
@@ -124,21 +135,20 @@ def dilated_conv2d(x, spec, weights, bias=None):
     out = Tensor._node(out_data, parents, None, "conv2d")
     if out.requires_grad:
         def bwd(o):
-            g = o.grad.transpose(0, 2, 3, 1)  # N,OH,OW,O
+            g = np.zeros((n, spec.out_channels, length), dtype=o.grad.dtype)
+            g.reshape(n, -1, oh, wp)[:, :, :, :ow] = o.grad
             if x.requires_grad:
                 gxp = np.zeros_like(xp)
+                gxf = gxp.reshape(n, c, hp * wp)
             if weights.requires_grad:
-                gw = np.zeros_like(wd)
-            for u in range(kh):
-                for v in range(kw):
-                    rs = slice(u * rh, u * rh + (oh - 1) * s + 1, s)
-                    cs = slice(v * rw, v * rw + (ow - 1) * s + 1, s)
-                    if weights.requires_grad:
-                        gw[:, :, u, v] = np.tensordot(
-                            g, xp[:, :, rs, cs], axes=([0, 1, 2], [0, 2, 3]))
-                    if x.requires_grad:
-                        t = np.tensordot(g, wd[:, :, u, v], axes=([3], [0]))
-                        gxp[:, :, rs, cs] += t.transpose(0, 3, 1, 2)
+                gw = np.empty_like(wd)
+            for u, v, off in offsets:
+                sl = slice(off, off + span, s)
+                if weights.requires_grad:
+                    gw[:, :, u, v] = (
+                        g @ xf[:, :, sl].transpose(0, 2, 1)).sum(axis=0)
+                if x.requires_grad:
+                    gxf[:, :, sl] += wd[:, :, u, v].T @ g
             if weights.requires_grad:
                 weights._accum(gw)
             if x.requires_grad:

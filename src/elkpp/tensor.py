@@ -284,7 +284,7 @@ def _binary(kind, a, b):
                 a._accum(_reduce_to(o.grad / y, x.shape))
             if b.requires_grad:
                 b._accum(_reduce_to(-o.grad * x / (y * y), y.shape))
-    elif kind == "max":
+    else:  # "max"
         data = np.maximum(x, y)
         # ties route to the first argument
         def bwd(o):
@@ -292,8 +292,6 @@ def _binary(kind, a, b):
                 a._accum(_reduce_to(o.grad * (x >= y), x.shape))
             if b.requires_grad:
                 b._accum(_reduce_to(o.grad * (x < y), y.shape))
-    else:
-        raise ValueError("unknown elementwise op %r" % kind)
     out = Tensor._node(data, (a, b), None, kind)
     if out.requires_grad:
         out._backward = lambda o=out: bwd(o)

@@ -2,6 +2,9 @@
 import csv
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,21 +215,67 @@ def test_train_is_deterministic_across_runs(dataset_root, tmp_path):
     assert bytes_a == bytes_b
 
 
+def _read_bytes(*parts):
+    with open(os.path.join(*parts), "rb") as f:
+        return f.read()
+
+
 def test_train_resume_matches_uninterrupted_run(dataset_root, tmp_path):
     cfg = _tiny_cfg(dataset_root)
     out_full = str(tmp_path / "full")
     train(cfg, out_full, log=lambda *a: None)
 
     mid = os.path.join(out_full, "checkpoints", "ckpt_000002.ckpt")
-    out_resumed = str(tmp_path / "resumed")
-    train(cfg, out_resumed, resume=mid, log=lambda *a: None)
+    out_fresh = str(tmp_path / "fresh")
+    train(cfg, out_fresh, resume=mid, log=lambda *a: None)
 
-    name = os.path.join("checkpoints", "ckpt_000004.ckpt")
-    with open(os.path.join(out_full, name), "rb") as f:
-        want = f.read()
-    with open(os.path.join(out_resumed, name), "rb") as f:
-        got = f.read()
-    assert got == want
+    # a run stopped after logging iteration 4 but before its checkpoint
+    out_resumed = str(tmp_path / "resumed")
+    shutil.copytree(out_full, out_resumed)
+    last = os.path.join("checkpoints", "ckpt_000004.ckpt")
+    os.remove(os.path.join(out_resumed, last))
+    train(cfg, out_resumed,
+          resume=os.path.join(out_resumed, "checkpoints", "ckpt_000002.ckpt"),
+          log=lambda *a: None)
+
+    want = _read_bytes(out_full, last)
+    assert _read_bytes(out_fresh, last) == want
+    assert _read_bytes(out_resumed, last) == want
+    assert _read_bytes(out_resumed, "train_log.csv") \
+        == _read_bytes(out_full, "train_log.csv")
+
+
+def test_train_resume_logs_each_iteration_once(dataset_root, tmp_path):
+    cfg = _tiny_cfg(dataset_root)
+    out = str(tmp_path / "run")
+    train(cfg, out, log=lambda *a: None)
+    mid = os.path.join(out, "checkpoints", "ckpt_000002.ckpt")
+    train(cfg, out, resume=mid, log=lambda *a: None)
+
+    with open(os.path.join(out, "train_log.csv")) as f:
+        rows = list(csv.reader(f))
+    assert rows[0][0] == "iter"
+    assert [r[0] for r in rows[1:]] == ["2", "4"]
+
+
+def test_train_checkpoints_do_not_depend_on_blas_threads(dataset_root,
+                                                         tmp_path):
+    # the default model: its larger matmuls are the ones OpenBLAS threads
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump({"data_root": dataset_root, "total_iterations": 3,
+                   "checkpoint_interval": 3, "eval_interval": 3}, f)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ckpts = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / ("threads%s" % threads))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.join(repo, "src"))
+        subprocess.run([sys.executable, "-m", "elkpp", "train",
+                        "--config", cfg_path, "--out", out],
+                       env=env, check=True, capture_output=True, timeout=300)
+        ckpts.append(_read_bytes(out, "checkpoints", "ckpt_000003.ckpt"))
+    assert ckpts[0] == ckpts[1]
 
 
 def test_train_resume_keeps_best_from_before_resume(dataset_root, tmp_path):
