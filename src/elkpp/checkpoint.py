@@ -16,6 +16,8 @@ bit for bit.
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -42,6 +44,25 @@ class Checkpoint:
         return out
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="wb"):
+    """Open ``path + ".tmp"`` for writing and move it onto ``path`` once
+    the block exits cleanly, so that ``path`` always holds either the
+    previous file or the complete new one. If the block raises, the temp
+    file is removed and ``path`` is left as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _write_tensor(f, name, arr):
     # asarray (not ascontiguousarray) so 0-d scalars keep rank 0
     arr = np.asarray(arr, dtype="<f4")
@@ -61,7 +82,7 @@ def save_checkpoint(path, iteration, config_digest, params, optim, buffers):
         raise ValueError("config digest must be %d bytes" % _DIGEST_LEN)
     named = Checkpoint(iteration, config_digest, dict(params), dict(optim),
                        dict(buffers)).all_tensors()
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<B", VERSION))
         f.write(struct.pack("<Q", iteration))

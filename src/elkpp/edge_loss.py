@@ -190,14 +190,26 @@ def ce_loss(logits, labels, void=VOID_LABEL, eps=1e-7, normalize=True):
 
 def regularizer(store, kind="sum_squares"):
     """Weight penalty over every parameter in the store: the sum of
-    squares, or its square root when kind is 'l2_norm'."""
-    total = None
-    for t in store.tensors():
-        term = (t * t).sum()
-        total = term if total is None else total + term
-    if total is None:
+    squares, or its square root when kind is 'l2_norm'.
+
+    The sum of squares is one tape node. It accumulates in store order
+    and in the parameter dtype; its backward adds 2 g w to each tensor.
+    """
+    params = tuple(store.tensors())
+    if not params:
         return Tensor(0.0)
-    return total.sqrt() if kind == "l2_norm" else total
+    total = np.zeros((), dtype=params[0].data.dtype)
+    for t in params:
+        total = total + np.vdot(t.data, t.data)
+    out = Tensor._node(np.asarray(total), params, None, "sum_squares")
+    if out.requires_grad:
+        def bwd(g):
+            for t in params:
+                if t.requires_grad:
+                    t._accum((2 * g) * t.data)
+
+        out._backward = lambda node=out: bwd(node.grad)
+    return out.sqrt() if kind == "l2_norm" else out
 
 
 def ece_loss(logits, labels, store=None, params=EdgeLossParams(),

@@ -284,6 +284,52 @@ def bilinear_resize(x, out_h, out_w):
     return out
 
 
+def _shifted_taps(n_in, n_out, dtype):
+    # [R_0 | R_1 | R_2] with R_u[i] = R[i + u - 1] for the resize matrix R,
+    # and a zero row where i + u - 1 falls outside it: the conv's padding
+    rp = np.pad(_resize_axis_matrix(n_in, n_out, dtype), ((1, 1), (0, 0)))
+    return np.concatenate([rp[u: u + n_out] for u in range(3)], axis=1)
+
+
+def resize_conv3x3(x, weights, out_h, out_w):
+    """``dilated_conv2d(bilinear_resize(x, out_h, out_w), 3x3 same-zero)``
+    with the convolution's work done at the extent of ``x``.
+
+    Both ops are linear, so the output of channel o is
+    sum_{u,v} Ry_u (W[o, :, u, v] . x) Rx_v^T, where Ry_u and Rx_v are the
+    resize matrices shifted by tap (u, v). One matmul makes the 9 tap
+    products at the input extent; one matmul per axis, contracting taps
+    and input extent together, resizes and sums them.
+    """
+    n, c, h, w = x.data.shape
+    o = weights.data.shape[0]
+    if weights.data.shape != (o, c, 3, 3):
+        raise ValueError("weights shape %s is not (O, %d, 3, 3)"
+                         % (weights.data.shape, c))
+    ry = _shifted_taps(h, out_h, x.data.dtype)        # out_h x 3h
+    rx = _shifted_taps(w, out_w, x.data.dtype).T      # 3w x out_w
+    wm = weights.data.transpose(0, 2, 3, 1).reshape(o * 9, c)
+    xf = x.data.reshape(n, c, h * w)
+    taps = (wm @ xf).reshape(n, o, 3, 3, h, w).transpose(0, 1, 2, 4, 3, 5)
+    cols = taps.reshape(n * o * 3 * h, 3 * w) @ rx
+    out_data = ry @ cols.reshape(n, o, 3 * h, out_w)
+
+    out = Tensor._node(out_data, (x, weights), None, "conv2d")
+    if out.requires_grad:
+        def bwd(g):
+            gcols = (ry.T @ g).reshape(n * o * 3 * h, out_w)
+            gtaps = (gcols @ rx.T).reshape(n, o, 3, h, 3, w) \
+                .transpose(0, 1, 2, 4, 3, 5).reshape(n, o * 9, h * w)
+            if weights.requires_grad:
+                gw = (gtaps @ xf.transpose(0, 2, 1)).sum(axis=0)
+                weights._accum(gw.reshape(o, 3, 3, c).transpose(0, 3, 1, 2))
+            if x.requires_grad:
+                x._accum((wm.T @ gtaps).reshape(n, c, h, w))
+
+        out._backward = lambda node=out: bwd(node.grad)
+    return out
+
+
 def sigmoid(x):
     t = np.exp(-np.abs(x.data))
     out_data = np.where(x.data >= 0, 1.0 / (1.0 + t), t / (1.0 + t))

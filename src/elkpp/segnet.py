@@ -3,18 +3,35 @@
 The encoder is a small residual backbone producing features at 1/4, 1/8,
 1/16 and 1/32 of the input extent. The pyramid sits on the deepest map.
 The decoder mirrors the encoder depth: three stages of 2x bilinear
-upsampling, each fusing a transferred skip connection, then a final 4x
-resize back to the input extent before the classifier head.
+upsampling, each fusing a transferred skip connection, and ends at 1/4
+of the input extent. The head resizes that map 4x to the input extent
+and convolves it in one op, then classifies each pixel.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lkpp import Lkpp, LkppConfig
-from .nn import Conv2d, ConvSpec, ConvBnRelu, bilinear_resize
+from .nn import Conv2d, ConvSpec, ConvBnRelu, bilinear_resize, \
+    resize_conv3x3
 from .tensor import ParameterStore, Tensor, concat, no_grad
+
+
+def _libc_malloc_trim():
+    # glibc's malloc_trim, or None where the C library has none
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _libc_malloc_trim()
 
 
 @dataclass(frozen=True)
@@ -111,7 +128,8 @@ class Encoder:
 
 
 class Decoder:
-    """Three upsample-fuse-convolve stages followed by a full-extent resize."""
+    """Three upsample-fuse-convolve stages; the output has the extent of
+    the shallowest skip."""
 
     def __init__(self, store, buffers, rng, cfg, in_channels, skip_channels):
         # skips arrive deepest first (1/16, 1/8, 1/4)
@@ -128,12 +146,22 @@ class Decoder:
             ch = width
         self.out_channels = ch
 
-    def __call__(self, x, skips, out_hw, training):
+    def __call__(self, x, skips, training):
         for transfer, conv, skip in zip(self.transfers, self.convs, skips):
             s = transfer(skip, training)
             x = bilinear_resize(x, s.data.shape[2], s.data.shape[3])
             x = conv(concat([x, s], axis=1), training)
-        return bilinear_resize(x, out_hw[0], out_hw[1])
+        return x
+
+
+class Head(ConvBnRelu):
+    """Bilinear resize to ``out_hw``, then 3x3 conv, batch norm and relu.
+    The resize and the conv run as one op, whose tap products stay at the
+    extent of the decoder's map."""
+
+    def __call__(self, x, out_hw, training):
+        y = resize_conv3x3(x, self.conv.weight, out_hw[0], out_hw[1])
+        return self.bn(y, training).relu()
 
 
 class ElkppNet:
@@ -154,7 +182,7 @@ class ElkppNet:
                     bb.stage_channels[0])
         self.decoder = Decoder(self.store, self.buffers, rng, cfg.decoder,
                                self.lkpp.out_channels, skip_chs)
-        self.head = ConvBnRelu(
+        self.head = Head(
             self.store, self.buffers, rng, "head.conv",
             ConvSpec(3, 3, self.decoder.out_channels, cfg.head_channels))
         self.classifier = Conv2d(
@@ -168,15 +196,26 @@ class ElkppNet:
         h, w = x.data.shape[2], x.data.shape[3]
         feats = self.encoder(x, training)
         y = self.lkpp(feats[3], training)
-        y = self.decoder(y, [feats[2], feats[1], feats[0]], (h, w), training)
-        y = self.head(y, training)
+        y = self.decoder(y, [feats[2], feats[1], feats[0]], training)
+        y = self.head(y, (h, w), training)
         return self.classifier(y)
 
     def predict(self, x):
-        """Hard labels via argmax over the class axis, no graph recorded."""
+        """Hard labels via argmax over the class axis, no graph recorded.
+
+        Under glibc the C heap is trimmed before returning. Whether glibc
+        hands the freed full-extent activations back to the system
+        otherwise depends on where unrelated small allocations happened
+        to land, so the memory left resident after a batch, and the
+        page faults of whatever runs next, would vary from call to call.
+        """
         with no_grad():
-            logits = self.forward(x, training=False)
-        return np.argmax(logits.data, axis=1).astype(np.int64)
+            logits = self.forward(x, training=False).data
+        preds = np.argmax(logits, axis=1).astype(np.int64)
+        del logits
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
+        return preds
 
     def param_count(self):
         return self.store.num_scalars()

@@ -16,13 +16,13 @@ import time
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import config_digest
 from .data import batch_at, load_split, mirror_flip, to_model_input
 from .edge_loss import ece_loss
 from .metrics import ConfusionMatrix, boundary_agreement
 from .segnet import ElkppNet
-from .tensor import Tensor, backward, set_precision
+from .tensor import Tensor, backward, precision, set_precision
 
 
 def poly_lr(base_lr, iteration, total_iterations, power=0.9):
@@ -154,9 +154,24 @@ def train(cfg, out_dir, resume=None, log=print):
     the best-by-miou checkpoint with a JSON sidecar, and ``summary.json``
     under ``out_dir``. A resume keeps the best score already recorded in
     ``out_dir/best.json`` and drops the log rows after the resumed
-    iteration before it logs them again.
+    iteration before it logs them again. The process-wide precision is
+    ``cfg.precision`` while it runs and is restored when it returns.
     """
+    previous = precision()
     set_precision(cfg.precision)
+    try:
+        return _train(cfg, out_dir, resume, log)
+    finally:
+        set_precision(previous)
+
+
+def _write_json(path, doc):
+    with atomic_write(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _train(cfg, out_dir, resume, log):
     os.makedirs(out_dir, exist_ok=True)
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -219,9 +234,7 @@ def train(cfg, out_dir, resume=None, log=print):
                     best = dict(scores, iteration=done)
                     _save(os.path.join(out_dir, "best.ckpt"), done, cfg, net,
                           optimizer)
-                    with open(best_path, "w") as f:
-                        json.dump(best, f, indent=2, sort_keys=True)
-                        f.write("\n")
+                    _write_json(best_path, best)
             if done % cfg.checkpoint_interval == 0 \
                     or done == cfg.total_iterations:
                 _save(os.path.join(ckpt_dir, "ckpt_%06d.ckpt" % done), done,
@@ -236,7 +249,5 @@ def train(cfg, out_dir, resume=None, log=print):
     if val_samples:
         summary["final"] = evaluate(net, val_samples, cfg.num_classes,
                                     cfg.batch_size)
-    with open(os.path.join(out_dir, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from elkpp.nn import ConvSpec, bilinear_resize, dilated_conv2d, pad_replicate
-from elkpp.tensor import Tensor, backward, set_precision
+from elkpp.nn import ConvSpec, bilinear_resize, dilated_conv2d, \
+    global_avg_pool, pad_replicate, resize_conv3x3
+from elkpp.tensor import Tensor, backward, concat, set_precision
 
 TOL = 1e-12
 
@@ -23,14 +24,17 @@ def _f64():
 
 
 def assert_adjoint(forward, x, y):
-    """<A x, y> == <x, A^T y> to rounding, for A = ``forward``."""
-    xt = Tensor(x, requires_grad=True)
-    ax = forward(xt)
+    """<A x, y> == <x, A^T y> to rounding, for A = ``forward``. A list
+    ``x`` holds the operands of a many-input A, passed in order, and the
+    right side sums over them."""
+    xs = x if isinstance(x, list) else [x]
+    ts = [Tensor(a, requires_grad=True) for a in xs]
+    ax = forward(*ts)
     backward((ax * Tensor(y)).sum())
     lhs = float(np.vdot(ax.data, y))
-    rhs = float(np.vdot(x, xt.grad))
-    scale = (np.linalg.norm(ax.data) * np.linalg.norm(y)
-             + np.linalg.norm(x) * np.linalg.norm(xt.grad))
+    rhs = sum(float(np.vdot(a, t.grad)) for a, t in zip(xs, ts))
+    scale = np.linalg.norm(ax.data) * np.linalg.norm(y) + sum(
+        np.linalg.norm(a) * np.linalg.norm(t.grad) for a, t in zip(xs, ts))
     assert abs(lhs - rhs) <= TOL * scale, (lhs, rhs)
 
 
@@ -111,3 +115,60 @@ def test_bilinear_resize_adjoint(h, w, out_h, out_w, seed):
     x = rng.standard_normal((2, 3, h, w))
     y = rng.standard_normal((2, 3, out_h, out_w))
     assert_adjoint(lambda t: bilinear_resize(t, out_h, out_w), x, y)
+
+
+@st.composite
+def resize_conv_problems(draw):
+    n, c, o = draw(st.integers(1, 2)), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    out_h, out_w = draw(st.integers(1, 13)), draw(st.integers(1, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (rng.standard_normal((n, c, h, w)),
+            rng.standard_normal((o, c, 3, 3)),
+            rng.standard_normal((n, o, out_h, out_w)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(resize_conv_problems())
+def test_resize_conv3x3_adjoint_in_input(problem):
+    x, w, y = problem
+    out_h, out_w = y.shape[2:]
+    assert_adjoint(lambda t: resize_conv3x3(t, Tensor(w), out_h, out_w),
+                   x, y)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(resize_conv_problems())
+def test_resize_conv3x3_adjoint_in_weights(problem):
+    x, w, y = problem
+    out_h, out_w = y.shape[2:]
+    assert_adjoint(lambda t: resize_conv3x3(Tensor(x), t, out_h, out_w),
+                   w, y)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 3), st.lists(st.integers(1, 4), min_size=1,
+                                   max_size=3), st.integers(0, 2 ** 32 - 1))
+def test_concat_reshape_adjoint(axis, sizes, seed):
+    # each operand arrives flat and is reshaped before the concat, so the
+    # backward rules of both ops are on the path
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(k if i == axis else d for i, d in enumerate((2, 3, 4, 5)))
+              for k in sizes]
+    xs = [rng.standard_normal(int(np.prod(s))) for s in shapes]
+    out_shape = list(shapes[0])
+    out_shape[axis] = sum(sizes)
+    y = rng.standard_normal(out_shape)
+    assert_adjoint(
+        lambda *ts: concat([t.reshape(s) for t, s in zip(ts, shapes)], axis),
+        xs, y)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+def test_global_avg_pool_adjoint(h, w, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 3, h, w))
+    y = rng.standard_normal((2, 3, 1, 1))
+    assert_adjoint(global_avg_pool, x, y)

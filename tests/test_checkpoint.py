@@ -1,4 +1,6 @@
 """Checkpoint format: bit-exact round trips and corruption detection."""
+import os
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,20 @@ def test_round_trip_bit_exact(tmp_path):
     save_checkpoint(q, ck.iteration, ck.config_digest, ck.params, ck.optim,
                     ck.buffers)
     assert p.read_bytes() == q.read_bytes()
+
+
+def test_failed_save_leaves_previous_file_intact(tmp_path):
+    params, optim, buffers, digest = sample_state()
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, 1, digest, params, optim, buffers)
+    before = p.read_bytes()
+    # "p/zz.bad" sorts last, so every other tensor is written before the
+    # conversion of this one raises
+    bad = {**params, "zz.bad": "not a number"}
+    with pytest.raises(ValueError):
+        save_checkpoint(p, 2, digest, bad, optim, buffers)
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == ["a.ckpt"]
 
 
 def test_insertion_order_does_not_change_bytes(tmp_path):

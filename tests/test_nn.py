@@ -5,7 +5,8 @@ import pytest
 
 from elkpp.gradcheck import finite_difference, max_relative_error
 from elkpp.nn import ConvSpec, batch_norm, bilinear_resize, dilated_conv2d, \
-    effective_kernel_extent, global_avg_pool, pad_replicate, sigmoid, softmax
+    effective_kernel_extent, global_avg_pool, pad_replicate, \
+    resize_conv3x3, sigmoid, softmax
 from elkpp.tensor import Tensor, backward, no_grad, set_precision
 
 from _oracles import conv2d_direct
@@ -268,6 +269,46 @@ def test_bilinear_gradients():
     for target in [(6, 8), (2, 3), (3, 4)]:
         fd_check(lambda t=target: (bilinear_resize(x, *t)
                                    * bilinear_resize(x, *t)).sum(), [x])
+
+
+RESIZE_CONV_CASES = [
+    # n, in channels, out channels, h, w, out_h, out_w
+    (2, 3, 2, 5, 7, 20, 28),     # odd, non-square, 4x
+    (1, 2, 4, 16, 16, 64, 64),   # the default model's head
+    (2, 3, 3, 4, 6, 4, 6),       # identity-size resize
+    (2, 3, 2, 1, 1, 4, 5),       # 1x1 input
+    (1, 2, 3, 3, 5, 7, 11),      # non-integer factors
+    (2, 4, 2, 7, 5, 3, 2),       # downsampling
+]
+
+
+@pytest.mark.parametrize("n,c,o,h,w,out_h,out_w", RESIZE_CONV_CASES)
+def test_resize_conv3x3_matches_resize_then_conv(n, c, o, h, w, out_h, out_w):
+    r = rng(h * 100 + w * 10 + out_h + out_w)
+    x = r.standard_normal((n, c, h, w))
+    wt = r.standard_normal((o, c, 3, 3))
+    g = r.standard_normal((n, o, out_h, out_w))
+    spec = ConvSpec(3, 3, c, o)
+    results = []
+    for op in (lambda a, b: dilated_conv2d(
+                   bilinear_resize(a, out_h, out_w), spec, b),
+               lambda a, b: resize_conv3x3(a, b, out_h, out_w)):
+        xt = Tensor(x, requires_grad=True)
+        wtt = Tensor(wt, requires_grad=True)
+        out = op(xt, wtt)
+        backward((out * Tensor(g)).sum())
+        results.append((out.data, xt.grad, wtt.grad))
+    for want, got in zip(*results):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_resize_conv3x3_rejects_bad_weights():
+    x = Tensor(np.zeros((1, 2, 4, 4)))
+    with pytest.raises(ValueError):
+        resize_conv3x3(x, Tensor(np.zeros((3, 2, 5, 5))), 8, 8)
+    with pytest.raises(ValueError):
+        resize_conv3x3(x, Tensor(np.zeros((3, 4, 3, 3))), 8, 8)
 
 
 def test_softmax_properties_and_gradient():

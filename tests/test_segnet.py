@@ -3,6 +3,7 @@ determinism, prediction."""
 import numpy as np
 import pytest
 
+from elkpp import segnet
 from elkpp.lkpp import LkppConfig, default_block_specs
 from elkpp.segnet import BackboneConfig, DecoderConfig, ElkppNet, ModelConfig
 from elkpp.tensor import Tensor, backward
@@ -94,6 +95,19 @@ def test_predict_shape_and_range():
     assert pred.shape == (2, 32, 32)
     assert pred.dtype == np.int64
     assert pred.min() >= 0 and pred.max() < 3
+
+
+def test_predict_trims_heap_without_changing_labels(monkeypatch):
+    net = ElkppNet(TINY, seed=0)
+    x = rng(6).standard_normal((2, 3, 32, 32))
+    expected = np.argmax(net.forward(x, training=False).data, axis=1)
+    calls = []
+    monkeypatch.setattr(segnet, "_MALLOC_TRIM", calls.append)
+    np.testing.assert_array_equal(net.predict(x), expected)
+    assert calls == [0]
+    # a C library without malloc_trim: no trim, same labels
+    monkeypatch.setattr(segnet, "_MALLOC_TRIM", None)
+    np.testing.assert_array_equal(net.predict(x), expected)
 
 
 def test_param_count_matches_store():

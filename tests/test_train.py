@@ -11,7 +11,7 @@ import pytest
 
 from elkpp.config import from_dict
 from elkpp.data import SynthConfig, write_dataset
-from elkpp.tensor import ParameterStore, set_precision
+from elkpp.tensor import ParameterStore, default_dtype, set_precision
 from elkpp.train import Adam, evaluate, poly_lr, train
 
 
@@ -299,6 +299,41 @@ def test_train_resume_keeps_best_from_before_resume(dataset_root, tmp_path):
         assert json.load(f)["best"] == unbeatable
     with open(os.path.join(out, "best.ckpt"), "rb") as f:
         assert f.read() == best_ckpt
+
+
+@pytest.mark.parametrize("name", ["best.json", "summary.json"])
+def test_train_failed_json_write_keeps_previous_file(dataset_root, tmp_path,
+                                                     monkeypatch, name):
+    cfg = _tiny_cfg(dataset_root)
+    out = str(tmp_path / "run")
+    train(cfg, out, log=lambda *a: None)
+    before = _read_bytes(out, name)
+
+    real_dump = json.dump
+
+    def dump_that_fails_midway(doc, f, **kwargs):
+        if ("iterations" in doc) == (name == "summary.json"):
+            f.write('{"miou": ')
+            raise OSError("disk full")
+        real_dump(doc, f, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_that_fails_midway)
+    with pytest.raises(OSError, match="disk full"):
+        train(cfg, out, log=lambda *a: None)
+    assert _read_bytes(out, name) == before
+    assert not os.path.exists(os.path.join(out, name + ".tmp"))
+
+
+def test_train_restores_precision(dataset_root, tmp_path):
+    set_precision("f32")
+    cfg = _tiny_cfg(dataset_root, precision="f64")
+    train(cfg, str(tmp_path / "run"), log=lambda *a: None)
+    assert default_dtype() == np.float32
+    # also when the run fails
+    with pytest.raises(FileNotFoundError):
+        train(cfg, str(tmp_path / "failed"),
+              resume=str(tmp_path / "missing.ckpt"), log=lambda *a: None)
+    assert default_dtype() == np.float32
 
 
 def test_train_resume_rejects_mismatched_config(dataset_root, tmp_path):
