@@ -1,9 +1,8 @@
 """Desk-scale implementation and verification kit for edge-aware
 dilated-convolution segmentation networks."""
 
-from .tensor import Tensor, ParameterStore, backward, concat, maximum, \
-    no_grad, precision, reduce, set_precision, set_verification_mode, \
-    verification_mode
+from .tensor import Tensor, ParameterStore, backward, concat, no_grad, \
+    precision, set_precision, set_verification_mode
 from .nn import ConvSpec, batch_norm, bilinear_resize, dilated_conv2d, \
     effective_kernel_extent, global_avg_pool, pad_replicate, sigmoid, softmax
 from .rf import ChainLayer, Footprint, footprint_minkowski, footprint_oracle, \

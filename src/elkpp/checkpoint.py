@@ -17,6 +17,7 @@ bit for bit.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import struct
 from dataclasses import dataclass
@@ -61,6 +62,14 @@ def atomic_write(path, mode="wb"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_json(path, doc):
+    """Write ``doc`` to ``path`` as indented, key-sorted JSON through
+    :func:`atomic_write`."""
+    with atomic_write(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _write_tensor(f, name, arr):

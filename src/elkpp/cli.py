@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import rf
-from .config import ConfigError, TrainConfig, load_config, save_config
+from .config import ConfigError, TrainConfig, load_config
 from .data import SynthConfig, load_label_map, save_pgm, write_dataset
 from .edge_loss import EdgeLossParams, ece_loss, edge_labels
 from .gradcheck import DEFAULT_STEPS, check_gradients
@@ -62,7 +62,6 @@ def cmd_train(args):
     cfg = _load_cfg(args)
     log = (lambda *a: None) if args.quiet else print
     summary = train(cfg, args.out, resume=args.resume, log=log)
-    save_config(os.path.join(args.out, "config.json"), cfg)
     if summary.get("best"):
         print("best val miou %.4f at iteration %d"
               % (summary["best"]["miou"], summary["best"]["iteration"]))

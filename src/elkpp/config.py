@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 
+from .checkpoint import write_json
 from .edge_loss import EdgeLossParams
 from .lkpp import HadcBlockSpec, LkppConfig, auto_width
 from .segnet import BackboneConfig, DecoderConfig, ModelConfig
@@ -198,9 +199,7 @@ def to_dict(cfg):
 
 
 def save_config(path, cfg):
-    with open(path, "w") as f:
-        json.dump(to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, to_dict(cfg))
 
 
 def config_digest(cfg):

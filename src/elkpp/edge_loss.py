@@ -93,18 +93,15 @@ def squash(grad_map, alpha=1.0):
         x = Tensor(x)
     norm = np.sqrt((x.data * x.data).sum(axis=1))
     out_data = norm / (norm + alpha)
-    out = Tensor._node(out_data, (x,), None, "squash")
-    if out.requires_grad:
-        def bwd(o):
-            # de/dg_c = alpha / (|g| + alpha)^2 * g_c / |g|
-            scale = alpha / np.square(norm + alpha)
-            coef = o.grad * scale
-            safe = np.zeros_like(norm)
-            np.divide(coef, norm, out=safe, where=norm > 0)
-            x._accum(safe[:, None] * x.data)
 
-        out._backward = lambda o=out: bwd(o)
-    return out
+    def rule(g):
+        # de/dg_c = alpha / (|g| + alpha)^2 * g_c / |g|
+        coef = g * (alpha / np.square(norm + alpha))
+        safe = np.zeros_like(norm)
+        np.divide(coef, norm, out=safe, where=norm > 0)
+        x._accum(safe[:, None] * x.data)
+
+    return Tensor._node(out_data, (x,), rule, "squash")
 
 
 def edge_labels(labels, num_classes, params=EdgeLossParams(), void=VOID_LABEL):
@@ -201,14 +198,13 @@ def regularizer(store, kind="sum_squares"):
     total = np.zeros((), dtype=params[0].data.dtype)
     for t in params:
         total = total + np.vdot(t.data, t.data)
-    out = Tensor._node(np.asarray(total), params, None, "sum_squares")
-    if out.requires_grad:
-        def bwd(g):
-            for t in params:
-                if t.requires_grad:
-                    t._accum((2 * g) * t.data)
 
-        out._backward = lambda node=out: bwd(node.grad)
+    def rule(g):
+        for t in params:
+            if t.requires_grad:
+                t._accum((2 * g) * t.data)
+
+    out = Tensor._node(np.asarray(total), params, rule, "sum_squares")
     return out.sqrt() if kind == "l2_norm" else out
 
 

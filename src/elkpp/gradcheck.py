@@ -95,10 +95,6 @@ class GradCheckReport:
     def passed(self):
         return all(e.status != "fail" for e in self.entries)
 
-    @property
-    def num_skipped(self):
-        return sum(1 for e in self.entries if e.status == "skipped")
-
     def render(self):
         lines = ["%-44s %-16s %-12s %s"
                  % ("parameter", "shape", "max rel err", "status")]

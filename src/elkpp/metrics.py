@@ -12,7 +12,7 @@ VOID_LABEL = 255
 
 
 class ConfusionMatrix:
-    """Streaming N x N tally; update with batches, merge across workers."""
+    """Streaming N x N tally, updated one batch at a time."""
 
     def __init__(self, num_classes):
         if num_classes < 1:
@@ -20,20 +20,18 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def update(self, predictions, labels, void_mask=None):
+    def update(self, predictions, labels):
         """Add one batch of hard predictions against reference labels.
 
-        ``void_mask`` defaults to ``labels == 255``; masked pixels are
-        skipped. Out-of-range predictions or labels are errors.
+        Void pixels (label 255) are skipped. Out-of-range predictions or
+        labels are errors.
         """
         predictions = np.asarray(predictions)
         labels = np.asarray(labels)
         if predictions.shape != labels.shape:
             raise ValueError("prediction and label shapes differ: %s vs %s"
                              % (predictions.shape, labels.shape))
-        if void_mask is None:
-            void_mask = labels == VOID_LABEL
-        valid = ~np.asarray(void_mask, dtype=bool)
+        valid = labels != VOID_LABEL
         p = predictions[valid].astype(np.int64)
         t = labels[valid].astype(np.int64)
         n = self.num_classes
@@ -44,12 +42,6 @@ class ConfusionMatrix:
                 raise ValueError("label class out of range [0, %d)" % n)
             self.counts += np.bincount(
                 t * n + p, minlength=n * n).reshape(n, n)
-        return self
-
-    def merge(self, other):
-        if other.num_classes != self.num_classes:
-            raise ValueError("class counts differ")
-        self.counts += other.counts
         return self
 
     def as_array(self):

@@ -1,7 +1,7 @@
 """Convolution, normalization, resampling and activation primitives.
 
-Everything here builds tape nodes out of :mod:`elkpp.tensor`, with
-explicit backward rules. Spatial layout is NCHW throughout.
+Each primitive hands :meth:`elkpp.tensor.Tensor._node` its output and an
+explicit backward rule. Spatial layout is NCHW throughout.
 """
 from __future__ import annotations
 
@@ -131,34 +131,31 @@ def dilated_conv2d(x, spec, weights, bias=None):
     if bias is not None:
         out_data += bias.data.reshape(1, -1, 1, 1)
 
-    parents = (x, weights) if bias is None else (x, weights, bias)
-    out = Tensor._node(out_data, parents, None, "conv2d")
-    if out.requires_grad:
-        def bwd(o):
-            g = np.zeros((n, spec.out_channels, length), dtype=o.grad.dtype)
-            g.reshape(n, -1, oh, wp)[:, :, :, :ow] = o.grad
-            if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                gxf = gxp.reshape(n, c, hp * wp)
+    def rule(grad):
+        g = np.zeros((n, spec.out_channels, length), dtype=grad.dtype)
+        g.reshape(n, -1, oh, wp)[:, :, :, :ow] = grad
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            gxf = gxp.reshape(n, c, hp * wp)
+        if weights.requires_grad:
+            gw = np.empty_like(wd)
+        for u, v, off in offsets:
+            sl = slice(off, off + span, s)
             if weights.requires_grad:
-                gw = np.empty_like(wd)
-            for u, v, off in offsets:
-                sl = slice(off, off + span, s)
-                if weights.requires_grad:
-                    gw[:, :, u, v] = (
-                        g @ xf[:, :, sl].transpose(0, 2, 1)).sum(axis=0)
-                if x.requires_grad:
-                    gxf[:, :, sl] += wd[:, :, u, v].T @ g
-            if weights.requires_grad:
-                weights._accum(gw)
+                gw[:, :, u, v] = (
+                    g @ xf[:, :, sl].transpose(0, 2, 1)).sum(axis=0)
             if x.requires_grad:
-                gx = gxp[:, :, pt: pt + h, pl: pl + w]
-                x._accum(np.ascontiguousarray(gx))
-            if bias is not None and bias.requires_grad:
-                bias._accum(o.grad.sum(axis=(0, 2, 3)))
+                gxf[:, :, sl] += wd[:, :, u, v].T @ g
+        if weights.requires_grad:
+            weights._accum(gw)
+        if x.requires_grad:
+            gx = gxp[:, :, pt: pt + h, pl: pl + w]
+            x._accum(np.ascontiguousarray(gx))
+        if bias is not None and bias.requires_grad:
+            bias._accum(grad.sum(axis=(0, 2, 3)))
 
-        out._backward = lambda o=out: bwd(o)
-    return out
+    parents = (x, weights) if bias is None else (x, weights, bias)
+    return Tensor._node(out_data, parents, rule, "conv2d")
 
 
 def pad_replicate(x, top, bottom, left, right):
@@ -168,29 +165,26 @@ def pad_replicate(x, top, bottom, left, right):
     n, c, h, w = x.data.shape
     out_data = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right)),
                       mode="edge")
-    out = Tensor._node(out_data, (x,), None, "pad_replicate")
-    if out.requires_grad:
-        def bwd(o):
-            g = o.grad
-            # collapse replicated rows/cols back onto the border pixels
-            if h == 1:
-                gh = g.sum(axis=2, keepdims=True)
-            else:
-                gh = np.zeros((n, c, h, g.shape[3]), dtype=g.dtype)
-                gh[:, :, 0] = g[:, :, :top + 1].sum(axis=2)
-                gh[:, :, h - 1] += g[:, :, top + h - 1:].sum(axis=2)
-                gh[:, :, 1:h - 1] += g[:, :, top + 1: top + h - 1]
-            if w == 1:
-                gx = gh.sum(axis=3, keepdims=True)
-            else:
-                gx = np.zeros((n, c, h, w), dtype=g.dtype)
-                gx[:, :, :, 0] = gh[:, :, :, :left + 1].sum(axis=3)
-                gx[:, :, :, w - 1] += gh[:, :, :, left + w - 1:].sum(axis=3)
-                gx[:, :, :, 1:w - 1] += gh[:, :, :, left + 1: left + w - 1]
-            x._accum(np.ascontiguousarray(gx))
 
-        out._backward = lambda o=out: bwd(o)
-    return out
+    def rule(g):
+        # collapse replicated rows/cols back onto the border pixels
+        if h == 1:
+            gh = g.sum(axis=2, keepdims=True)
+        else:
+            gh = np.zeros((n, c, h, g.shape[3]), dtype=g.dtype)
+            gh[:, :, 0] = g[:, :, :top + 1].sum(axis=2)
+            gh[:, :, h - 1] += g[:, :, top + h - 1:].sum(axis=2)
+            gh[:, :, 1:h - 1] += g[:, :, top + 1: top + h - 1]
+        if w == 1:
+            gx = gh.sum(axis=3, keepdims=True)
+        else:
+            gx = np.zeros((n, c, h, w), dtype=g.dtype)
+            gx[:, :, :, 0] = gh[:, :, :, :left + 1].sum(axis=3)
+            gx[:, :, :, w - 1] += gh[:, :, :, left + w - 1:].sum(axis=3)
+            gx[:, :, :, 1:w - 1] += gh[:, :, :, left + 1: left + w - 1]
+        x._accum(np.ascontiguousarray(gx))
+
+    return Tensor._node(out_data, (x,), rule, "pad_replicate")
 
 
 def batch_norm(x, scale, shift, running_mean, running_var, training,
@@ -221,25 +215,21 @@ def batch_norm(x, scale, shift, running_mean, running_var, training,
     out_data = scale.data.reshape(1, c, 1, 1) * xhat \
         + shift.data.reshape(1, c, 1, 1)
 
-    out = Tensor._node(out_data, (x, scale, shift), None, "batch_norm")
-    if out.requires_grad:
-        def bwd(o):
-            g = o.grad
-            if scale.requires_grad:
-                scale._accum((g * xhat).sum(axis=axes))
-            if shift.requires_grad:
-                shift._accum(g.sum(axis=axes))
-            if x.requires_grad:
-                sc_iv = (scale.data * ivar).reshape(1, c, 1, 1)
-                if training:
-                    gs = g.sum(axis=axes).reshape(1, c, 1, 1)
-                    gxs = (g * xhat).sum(axis=axes).reshape(1, c, 1, 1)
-                    x._accum(sc_iv / m * (m * g - gs - xhat * gxs))
-                else:
-                    x._accum(sc_iv * g)
+    def rule(g):
+        if scale.requires_grad:
+            scale._accum((g * xhat).sum(axis=axes))
+        if shift.requires_grad:
+            shift._accum(g.sum(axis=axes))
+        if x.requires_grad:
+            sc_iv = (scale.data * ivar).reshape(1, c, 1, 1)
+            if training:
+                gs = g.sum(axis=axes).reshape(1, c, 1, 1)
+                gxs = (g * xhat).sum(axis=axes).reshape(1, c, 1, 1)
+                x._accum(sc_iv / m * (m * g - gs - xhat * gxs))
+            else:
+                x._accum(sc_iv * g)
 
-        out._backward = lambda o=out: bwd(o)
-    return out
+    return Tensor._node(out_data, (x, scale, shift), rule, "batch_norm")
 
 
 def global_avg_pool(x):
@@ -273,15 +263,13 @@ def bilinear_resize(x, out_h, out_w):
     ry = _resize_axis_matrix(h, out_h, x.data.dtype)
     rx = _resize_axis_matrix(w, out_w, x.data.dtype)
     out_data = np.einsum("oh,nchw,pw->ncop", ry, x.data, rx, optimize=True)
-    out = Tensor._node(np.ascontiguousarray(out_data), (x,), None,
-                       "bilinear_resize")
-    if out.requires_grad:
-        def bwd(o):
-            gx = np.einsum("oh,ncop,pw->nchw", ry, o.grad, rx, optimize=True)
-            x._accum(np.ascontiguousarray(gx))
 
-        out._backward = lambda o=out: bwd(o)
-    return out
+    def rule(g):
+        gx = np.einsum("oh,ncop,pw->nchw", ry, g, rx, optimize=True)
+        x._accum(np.ascontiguousarray(gx))
+
+    return Tensor._node(np.ascontiguousarray(out_data), (x,), rule,
+                        "bilinear_resize")
 
 
 def _shifted_taps(n_in, n_out, dtype):
@@ -314,44 +302,37 @@ def resize_conv3x3(x, weights, out_h, out_w):
     cols = taps.reshape(n * o * 3 * h, 3 * w) @ rx
     out_data = ry @ cols.reshape(n, o, 3 * h, out_w)
 
-    out = Tensor._node(out_data, (x, weights), None, "conv2d")
-    if out.requires_grad:
-        def bwd(g):
-            gcols = (ry.T @ g).reshape(n * o * 3 * h, out_w)
-            gtaps = (gcols @ rx.T).reshape(n, o, 3, h, 3, w) \
-                .transpose(0, 1, 2, 4, 3, 5).reshape(n, o * 9, h * w)
-            if weights.requires_grad:
-                gw = (gtaps @ xf.transpose(0, 2, 1)).sum(axis=0)
-                weights._accum(gw.reshape(o, 3, 3, c).transpose(0, 3, 1, 2))
-            if x.requires_grad:
-                x._accum((wm.T @ gtaps).reshape(n, c, h, w))
+    def rule(g):
+        gcols = (ry.T @ g).reshape(n * o * 3 * h, out_w)
+        gtaps = (gcols @ rx.T).reshape(n, o, 3, h, 3, w) \
+            .transpose(0, 1, 2, 4, 3, 5).reshape(n, o * 9, h * w)
+        if weights.requires_grad:
+            gw = (gtaps @ xf.transpose(0, 2, 1)).sum(axis=0)
+            weights._accum(gw.reshape(o, 3, 3, c).transpose(0, 3, 1, 2))
+        if x.requires_grad:
+            x._accum((wm.T @ gtaps).reshape(n, c, h, w))
 
-        out._backward = lambda node=out: bwd(node.grad)
-    return out
+    return Tensor._node(out_data, (x, weights), rule, "conv2d")
 
 
 def sigmoid(x):
     t = np.exp(-np.abs(x.data))
     out_data = np.where(x.data >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    out = Tensor._node(out_data, (x,), None, "sigmoid")
-    if out.requires_grad:
-        out._backward = lambda o=out: x._accum(o.grad * o.data * (1.0 - o.data))
-    return out
+    return Tensor._node(
+        out_data, (x,), lambda g: x._accum(g * out_data * (1.0 - out_data)),
+        "sigmoid")
 
 
 def softmax(x, axis=1):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._node(out_data, (x,), None, "softmax")
-    if out.requires_grad:
-        def bwd(o):
-            p = o.data
-            dot = (o.grad * p).sum(axis=axis, keepdims=True)
-            x._accum(p * (o.grad - dot))
 
-        out._backward = lambda o=out: bwd(o)
-    return out
+    def rule(g):
+        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        x._accum(out_data * (g - dot))
+
+    return Tensor._node(out_data, (x,), rule, "softmax")
 
 
 # -- layers ---------------------------------------------------------------

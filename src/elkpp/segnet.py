@@ -167,10 +167,10 @@ class Head(ConvBnRelu):
 class ElkppNet:
     """Encoder, pyramid, decoder and classifier head in one trainable unit."""
 
-    def __init__(self, cfg, seed=0, store=None, buffers=None):
+    def __init__(self, cfg, seed=0):
         self.cfg = cfg
-        self.store = store if store is not None else ParameterStore()
-        self.buffers = buffers if buffers is not None else {}
+        self.store = ParameterStore()
+        self.buffers = {}
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, 0])))
         bb = cfg.backbone

@@ -1,9 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are numpy arrays. Every differentiable operation links its output
-to its inputs and records a backward rule as a closure; calling
-:func:`backward` on a scalar walks that graph once in reverse topological
-order and accumulates gradients additively into ``.grad``.
+Values are numpy arrays. Every differentiable operation passes
+:meth:`Tensor._node` its output, its inputs and its backward rule (a
+function of the output's gradient that accumulates into the inputs'
+``.grad``), and ``_node`` records the node on the tape only when
+recording is enabled and some input requires grad. Calling
+:func:`backward` on a scalar walks that graph once in reverse
+topological order and runs each recorded rule.
 
 Precision is a process-global switch: float32 by default, float64 in
 verification mode, which additionally traps non-finite values after every
@@ -20,6 +23,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import weakref
 
 import numpy as np
 
@@ -47,10 +51,6 @@ def set_verification_mode(enabled):
     _state["nan_trap"] = bool(enabled)
 
 
-def verification_mode():
-    return _state["nan_trap"]
-
-
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording; outputs inside are constants."""
@@ -71,7 +71,8 @@ def _trap(arr, op):
 class Tensor:
     """A numpy array plus an optional gradient accumulator and tape entry."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents",
+                 "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=default_dtype())
@@ -82,21 +83,26 @@ class Tensor:
         self._backward = None
 
     @classmethod
-    def _node(cls, data, parents, backward, op):
-        """Wrap an op output. Records the tape entry only when some parent
-        still requires grad and recording is enabled."""
+    def _node(cls, data, parents, rule, op):
+        """Wrap an op output. When recording is enabled and some parent
+        requires grad, the node keeps its parents and a ``_backward`` that
+        calls ``rule(out.grad)``; otherwise it keeps neither, so the rule
+        and what it closes over are freed when the op returns."""
         out = cls.__new__(cls)
         out.data = _trap(data, op)
         out.grad = None
         out.op = op
-        if _state["grad"] and any(p.requires_grad for p in parents):
-            out.requires_grad = True
+        out.requires_grad = _state["grad"] and any(
+            p.requires_grad for p in parents)
+        out._parents = ()
+        out._backward = None
+        if out.requires_grad:
             out._parents = tuple(parents)
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
+            # through a weak reference: a closure over ``out`` itself would
+            # make every node a reference cycle, so a step's graph would
+            # outlive its last use until the cyclic collector ran
+            ref = weakref.ref(out)
+            out._backward = lambda: rule(ref().grad)
         return out
 
     # -- introspection -------------------------------------------------
@@ -108,16 +114,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def numpy(self):
-        return self.data
-
-    def item(self):
-        return float(self.data)
 
     def __repr__(self):
         return "Tensor(shape=%s, op=%s%s)" % (
@@ -156,59 +152,47 @@ class Tensor:
 
     def relu(self):
         a = self
-        out = Tensor._node(np.maximum(a.data, 0), (a,), None, "relu")
-        if out.requires_grad:
-            # subgradient 0 at exactly 0
-            out._backward = lambda o=out: a._accum(o.grad * (a.data > 0))
-        return out
+        # subgradient 0 at exactly 0
+        return Tensor._node(np.maximum(a.data, 0), (a,),
+                            lambda g: a._accum(g * (a.data > 0)), "relu")
 
     def exp(self):
         a = self
-        out = Tensor._node(np.exp(a.data), (a,), None, "exp")
-        if out.requires_grad:
-            out._backward = lambda o=out: a._accum(o.grad * o.data)
-        return out
+        data = np.exp(a.data)
+        return Tensor._node(data, (a,), lambda g: a._accum(g * data), "exp")
 
     def log(self):
         a = self
         if _state["nan_trap"] and np.any(a.data <= 0):
             raise FloatingPointError("log of non-positive input")
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = Tensor._node(np.log(a.data), (a,), None, "log")
-        if out.requires_grad:
-            out._backward = lambda o=out: a._accum(o.grad / a.data)
-        return out
+            data = np.log(a.data)
+        return Tensor._node(data, (a,), lambda g: a._accum(g / a.data), "log")
 
     def sqrt(self):
         a = self
         if _state["nan_trap"] and np.any(a.data < 0):
             raise FloatingPointError("sqrt of negative input")
         with np.errstate(invalid="ignore"):
-            out = Tensor._node(np.sqrt(a.data), (a,), None, "sqrt")
-        if out.requires_grad:
-            out._backward = lambda o=out: a._accum(o.grad * 0.5 / o.data)
-        return out
+            data = np.sqrt(a.data)
+        return Tensor._node(data, (a,),
+                            lambda g: a._accum(g * 0.5 / data), "sqrt")
 
     def clip(self, lo, hi):
         """Clamp to [lo, hi]; gradient passes through wherever the input
         already lay inside the closed interval."""
         a = self
-        out = Tensor._node(np.clip(a.data, lo, hi), (a,), None, "clip")
-        if out.requires_grad:
-            mask = (a.data >= lo) & (a.data <= hi)
-            out._backward = lambda o=out: a._accum(o.grad * mask)
-        return out
+        return Tensor._node(
+            np.clip(a.data, lo, hi), (a,),
+            lambda g: a._accum(g * ((a.data >= lo) & (a.data <= hi))), "clip")
 
     # -- reductions ------------------------------------------------------
 
     def sum(self, axes=None, keepdims=False):
-        return reduce("sum", self, axes, keepdims)
+        return _reduce("sum", self, axes, keepdims)
 
     def mean(self, axes=None, keepdims=False):
-        return reduce("mean", self, axes, keepdims)
-
-    def max(self, axes=None, keepdims=False):
-        return reduce("max", self, axes, keepdims)
+        return _reduce("mean", self, axes, keepdims)
 
     # -- shape -----------------------------------------------------------
 
@@ -216,20 +200,14 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         a = self
-        out = Tensor._node(a.data.reshape(shape), (a,), None, "reshape")
-        if out.requires_grad:
-            out._backward = lambda o=out: a._accum(o.grad.reshape(a.data.shape))
-        return out
+        return Tensor._node(a.data.reshape(shape), (a,),
+                            lambda g: a._accum(g.reshape(a.data.shape)),
+                            "reshape")
 
 
 def _const_like(value, ref):
-    t = Tensor.__new__(Tensor)
+    t = Tensor(0.0)
     t.data = np.asarray(value, dtype=ref.data.dtype)
-    t.grad = None
-    t.requires_grad = False
-    t.op = "const"
-    t._parents = ()
-    t._backward = None
     return t
 
 
@@ -255,142 +233,64 @@ def _reduce_to(grad, shape):
 def _binary(kind, a, b):
     a, b = _coerce_pair(a, b, kind)
     x, y = a.data, b.data
+    # ga and gb map the output gradient to each operand's gradient
     if kind == "add":
-        data = x + y
-        def bwd(o):
-            if a.requires_grad:
-                a._accum(_reduce_to(o.grad, x.shape))
-            if b.requires_grad:
-                b._accum(_reduce_to(o.grad, y.shape))
+        data, ga, gb = x + y, (lambda g: g), (lambda g: g)
     elif kind == "sub":
-        data = x - y
-        def bwd(o):
-            if a.requires_grad:
-                a._accum(_reduce_to(o.grad, x.shape))
-            if b.requires_grad:
-                b._accum(_reduce_to(-o.grad, y.shape))
+        data, ga, gb = x - y, (lambda g: g), (lambda g: -g)
     elif kind == "mul":
-        data = x * y
-        def bwd(o):
-            if a.requires_grad:
-                a._accum(_reduce_to(o.grad * y, x.shape))
-            if b.requires_grad:
-                b._accum(_reduce_to(o.grad * x, y.shape))
-    elif kind == "div":
+        data, ga, gb = x * y, (lambda g: g * y), (lambda g: g * x)
+    else:  # "div"
         with np.errstate(divide="ignore", invalid="ignore"):
             data = x / y
-        def bwd(o):
-            if a.requires_grad:
-                a._accum(_reduce_to(o.grad / y, x.shape))
-            if b.requires_grad:
-                b._accum(_reduce_to(-o.grad * x / (y * y), y.shape))
-    else:  # "max"
-        data = np.maximum(x, y)
-        # ties route to the first argument
-        def bwd(o):
-            if a.requires_grad:
-                a._accum(_reduce_to(o.grad * (x >= y), x.shape))
-            if b.requires_grad:
-                b._accum(_reduce_to(o.grad * (x < y), y.shape))
-    out = Tensor._node(data, (a, b), None, kind)
-    if out.requires_grad:
-        out._backward = lambda o=out: bwd(o)
-    return out
+        ga, gb = (lambda g: g / y), (lambda g: -g * x / (y * y))
+
+    def rule(g):
+        if a.requires_grad:
+            a._accum(_reduce_to(ga(g), x.shape))
+        if b.requires_grad:
+            b._accum(_reduce_to(gb(g), y.shape))
+
+    return Tensor._node(data, (a, b), rule, kind)
 
 
-def maximum(a, b):
-    return _binary("max", a, b)
-
-
-def _norm_axes(axes, ndim):
+def _reduce(op, a, axes, keepdims):
+    """Sum or mean over ``axes`` (all axes when None)."""
+    ndim = a.data.ndim
     if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, int):
+        axes = range(ndim)
+    elif isinstance(axes, int):
         axes = (axes,)
-    return tuple(sorted(ax % ndim for ax in axes))
-
-
-def reduce(op_kind, a, axes=None, keepdims=False):
-    """Reduce over ``axes`` (all axes when None).
-
-    ``max`` routes the full gradient to the first maximal element along
-    the reduced axes, matching argmax order.
-    """
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    axes = _norm_axes(axes, a.data.ndim)
+    axes = tuple(sorted(ax % ndim for ax in axes))
+    count = 1
     for ax in axes:
         if a.data.shape[ax] == 0:
             raise ValueError("reduction over empty axis %d" % ax)
+        count *= a.data.shape[ax]
+    data = a.data.sum(axis=axes, keepdims=keepdims)
+    if op == "mean":
+        data = data / count
 
-    if op_kind in ("sum", "mean"):
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax]
-        data = a.data.sum(axis=axes, keepdims=keepdims)
-        if op_kind == "mean":
-            data = data / count
+    def rule(g):
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        g = np.broadcast_to(g, a.data.shape)
+        a._accum(g / count if op == "mean" else g)
 
-        def bwd(o):
-            g = o.grad
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            g = np.broadcast_to(g, a.data.shape)
-            a._accum(g / count if op_kind == "mean" else g.copy())
-
-        out = Tensor._node(data, (a,), None, op_kind)
-        if out.requires_grad:
-            out._backward = lambda o=out: bwd(o)
-        return out
-
-    if op_kind == "max":
-        keep = tuple(ax for ax in range(a.data.ndim) if ax not in axes)
-        perm = keep + axes
-        moved = a.data.transpose(perm)
-        keep_shape = moved.shape[:len(keep)]
-        flat = moved.reshape(keep_shape + (-1,))
-        idx = flat.argmax(axis=-1)
-        data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        if keepdims:
-            shape = list(a.data.shape)
-            for ax in axes:
-                shape[ax] = 1
-            out_data = data.reshape(shape)
-        else:
-            out_data = data
-
-        def bwd(o):
-            g = o.grad.reshape(keep_shape)
-            gflat = np.zeros_like(flat)
-            np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
-            gmoved = gflat.reshape(moved.shape)
-            inv = np.argsort(perm)
-            a._accum(gmoved.transpose(inv))
-
-        out = Tensor._node(out_data, (a,), None, "max")
-        if out.requires_grad:
-            out._backward = lambda o=out: bwd(o)
-        return out
-
-    raise ValueError("unknown reduction %r" % op_kind)
+    return Tensor._node(data, (a,), rule, op)
 
 
 def concat(tensors, axis):
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    datas = [t.data for t in tensors]
-    out = Tensor._node(np.concatenate(datas, axis=axis), tuple(tensors),
-                       None, "concat")
-    if out.requires_grad:
-        sizes = [d.shape[axis] for d in datas]
-        splits = np.cumsum(sizes)[:-1]
 
-        def bwd(o):
-            for t, piece in zip(tensors, np.split(o.grad, splits, axis=axis)):
-                if t.requires_grad:
-                    t._accum(piece)
+    def rule(g):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
+            if t.requires_grad:
+                t._accum(piece)
 
-        out._backward = lambda o=out: bwd(o)
-    return out
+    return Tensor._node(np.concatenate([t.data for t in tensors], axis=axis),
+                        tuple(tensors), rule, "concat")
 
 
 def _toposort(root):
@@ -416,8 +316,9 @@ def backward(loss, store=None):
     """Accumulate d(loss)/d(node) into ``.grad`` over the whole graph.
 
     Gradients of every reachable node are reset first, so a repeated call
-    reproduces the same values bit for bit. Parameters that do not appear
-    in the graph are left untouched (their gradient stays zero).
+    reproduces the same values bit for bit. Parameters that the graph does
+    not reach keep whatever gradient they held; with ``store``, those
+    holding none get zeros.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor loss")
@@ -461,24 +362,14 @@ class ParameterStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def __len__(self):
         return len(self._params)
-
-    def names(self):
-        return list(self._params)
 
     def items(self):
         return self._params.items()
 
     def tensors(self):
         return self._params.values()
-
-    def grad(self, name):
-        t = self._params[name]
-        return t.grad if t.grad is not None else np.zeros_like(t.data)
 
     def zero_grads(self):
         for t in self._params.values():

@@ -16,8 +16,8 @@ import time
 
 import numpy as np
 
-from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
-from .config import config_digest
+from .checkpoint import load_checkpoint, save_checkpoint, write_json
+from .config import config_digest, save_config
 from .data import batch_at, load_split, mirror_flip, to_model_input
 from .edge_loss import ece_loss
 from .metrics import ConfusionMatrix, boundary_agreement
@@ -150,12 +150,14 @@ def _truncate_log(path, iteration):
 def train(cfg, out_dir, resume=None, log=print):
     """Run the configured training job; returns a summary dict.
 
-    Writes ``train_log.csv``, periodic ``checkpoints/ckpt_NNNNNN.ckpt``,
-    the best-by-miou checkpoint with a JSON sidecar, and ``summary.json``
-    under ``out_dir``. A resume keeps the best score already recorded in
-    ``out_dir/best.json`` and drops the log rows after the resumed
-    iteration before it logs them again. The process-wide precision is
-    ``cfg.precision`` while it runs and is restored when it returns.
+    Writes ``config.json`` before the first iteration (after a resume's
+    config check), then ``train_log.csv``, periodic
+    ``checkpoints/ckpt_NNNNNN.ckpt``, the best-by-miou checkpoint with a
+    JSON sidecar, and ``summary.json`` under ``out_dir``. A resume keeps
+    the best score already recorded in ``out_dir/best.json`` and drops
+    the log rows after the resumed iteration before it logs them again.
+    The process-wide precision is ``cfg.precision`` while it runs and is
+    restored when it returns.
     """
     previous = precision()
     set_precision(cfg.precision)
@@ -163,12 +165,6 @@ def train(cfg, out_dir, resume=None, log=print):
         return _train(cfg, out_dir, resume, log)
     finally:
         set_precision(previous)
-
-
-def _write_json(path, doc):
-    with atomic_write(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _train(cfg, out_dir, resume, log):
@@ -192,6 +188,7 @@ def _train(cfg, out_dir, resume, log):
         if os.path.isfile(best_path):
             with open(best_path) as f:
                 best = json.load(f)
+    save_config(os.path.join(out_dir, "config.json"), cfg)
 
     n = len(train_samples)
     t0 = time.monotonic()
@@ -234,7 +231,7 @@ def _train(cfg, out_dir, resume, log):
                     best = dict(scores, iteration=done)
                     _save(os.path.join(out_dir, "best.ckpt"), done, cfg, net,
                           optimizer)
-                    _write_json(best_path, best)
+                    write_json(best_path, best)
             if done % cfg.checkpoint_interval == 0 \
                     or done == cfg.total_iterations:
                 _save(os.path.join(ckpt_dir, "ckpt_%06d.ckpt" % done), done,
@@ -249,5 +246,5 @@ def _train(cfg, out_dir, resume, log):
     if val_samples:
         summary["final"] = evaluate(net, val_samples, cfg.num_classes,
                                     cfg.batch_size)
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

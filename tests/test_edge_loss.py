@@ -315,6 +315,26 @@ def test_regularizer_kinds():
     assert float(empty.data) == 0.0
 
 
+@pytest.mark.parametrize("kind", ["sum_squares", "l2_norm"])
+def test_regularizer_gradient(kind):
+    r = rng(8)
+    store = ParameterStore()
+    tracked = [store.add("a", r.standard_normal((3, 4))),
+               store.add("b", r.standard_normal(5))]
+    frozen = store.add("frozen", r.standard_normal((2, 2)))
+    frozen.requires_grad = False
+    frozen.grad = None
+    backward(regularizer(store, kind))
+
+    def value():
+        with no_grad():
+            return float(regularizer(store, kind).data)
+    for t in tracked:
+        fd = finite_difference(value, t.data, step=1e-6)
+        assert max_relative_error(t.grad, fd) <= 1e-7
+    assert frozen.grad is None
+
+
 def test_ece_reduces_to_ce_bitwise():
     r = rng(4)
     params = EdgeLossParams(lambda_edge=0.0, lambda_reg=0.0)

@@ -110,16 +110,13 @@ def test_check_gradients_accepts_correct_graph():
     report = check_gradients(loss_fn, store.items(), steps=1e-5, tol=1e-8)
     assert report.passed
     assert report.worst < 1e-8
-    assert report.num_skipped == 0
     assert [e.name for e in report.entries] == ["w", "b"]
     assert all(e.status == "ok" for e in report.entries)
 
 
 def _scale_with_wrong_backward(t, factor, claimed):
-    out = Tensor._node(t.data * factor, (t,), None, "bad-scale")
-    if out.requires_grad:
-        out._backward = lambda o=out: t._accum(o.grad * claimed)
-    return out
+    return Tensor._node(t.data * factor, (t,),
+                        lambda g: t._accum(g * claimed), "bad-scale")
 
 
 def test_check_gradients_flags_sabotaged_backward_rule():
@@ -167,7 +164,6 @@ def test_check_gradients_reports_frozen_parameters_as_skipped():
     store["b"].requires_grad = False
     report = check_gradients(loss_fn, store.items(), steps=1e-5, tol=1e-8)
     assert report.passed
-    assert report.num_skipped == 1
     by_name = {e.name: e for e in report.entries}
     assert by_name["b"].status == "skipped"
     assert by_name["w"].status == "ok"

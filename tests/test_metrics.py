@@ -95,17 +95,6 @@ def test_update_validates_ranges_and_shapes():
     cm.update(np.array([[0]]), np.array([[255]]))
 
 
-def test_merge():
-    a = ConfusionMatrix(2)
-    a.update(np.array([0, 1]), np.array([0, 1]))
-    b = ConfusionMatrix(2)
-    b.update(np.array([1, 0]), np.array([0, 1]))
-    a.merge(b)
-    assert a.counts.tolist() == [[1, 1], [1, 1]]
-    with pytest.raises(ValueError):
-        a.merge(ConfusionMatrix(3))
-
-
 def test_metrics_match_brute_force_tally():
     r = rng(1)
     for trial in range(20):

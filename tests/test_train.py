@@ -1,5 +1,6 @@
 """Tests for the training loop: schedule, optimizer, artifacts, resume."""
 import csv
+import importlib
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from elkpp.config import from_dict
+from elkpp.config import from_dict, to_dict
 from elkpp.data import SynthConfig, write_dataset
 from elkpp.tensor import ParameterStore, default_dtype, set_precision
 from elkpp.train import Adam, evaluate, poly_lr, train
@@ -241,8 +242,15 @@ def test_train_resume_matches_uninterrupted_run(dataset_root, tmp_path):
     want = _read_bytes(out_full, last)
     assert _read_bytes(out_fresh, last) == want
     assert _read_bytes(out_resumed, last) == want
-    assert _read_bytes(out_resumed, "train_log.csv") \
-        == _read_bytes(out_full, "train_log.csv")
+    for name in ("train_log.csv", "best.json"):
+        assert _read_bytes(out_resumed, name) == _read_bytes(out_full, name)
+    summaries = []
+    for out in (out_resumed, out_full):
+        with open(os.path.join(out, "summary.json")) as f:
+            summary = json.load(f)
+        del summary["elapsed_sec"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
 
 
 def test_train_resume_logs_each_iteration_once(dataset_root, tmp_path):
@@ -311,8 +319,11 @@ def test_train_failed_json_write_keeps_previous_file(dataset_root, tmp_path,
 
     real_dump = json.dump
 
+    # summary.json alone has "iterations", best.json alone "miou"
+    key = "iterations" if name == "summary.json" else "miou"
+
     def dump_that_fails_midway(doc, f, **kwargs):
-        if ("iterations" in doc) == (name == "summary.json"):
+        if key in doc:
             f.write('{"miou": ')
             raise OSError("disk full")
         real_dump(doc, f, **kwargs)
@@ -346,6 +357,33 @@ def test_train_resume_rejects_mismatched_config(dataset_root, tmp_path):
     with pytest.raises(ValueError, match="configuration"):
         train(other, str(tmp_path / "other"), resume=ckpt,
               log=lambda *a: None)
+    assert not os.path.exists(str(tmp_path / "other" / "config.json"))
+    # a rejected resume in place keeps the run's own config.json
+    before = _read_bytes(out, "config.json")
+    with pytest.raises(ValueError, match="configuration"):
+        train(other, out, resume=ckpt, log=lambda *a: None)
+    assert _read_bytes(out, "config.json") == before
+
+
+def test_train_records_config_before_it_trains(dataset_root, tmp_path,
+                                               monkeypatch):
+    cfg = _tiny_cfg(dataset_root)
+    out = str(tmp_path / "run")
+    train_module = importlib.import_module("elkpp.train")
+    real_save = train_module.save_checkpoint
+    saved = []
+
+    def save_then_crash(path, *args):
+        real_save(path, *args)
+        saved.append(path)
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(train_module, "save_checkpoint", save_then_crash)
+    with pytest.raises(RuntimeError, match="killed"):
+        train(cfg, out, log=lambda *a: None)
+    assert len(saved) == 1 and os.path.isfile(saved[0])
+    with open(os.path.join(out, "config.json")) as f:
+        assert json.load(f) == json.loads(json.dumps(to_dict(cfg)))
 
 
 def test_evaluate_reports_scores_in_unit_range(dataset_root):
